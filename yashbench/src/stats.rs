@@ -1,0 +1,34 @@
+//! Order statistics over timing samples.
+
+/// The `q`-quantile (0..=1) of `samples` by linear interpolation between
+/// the closest ranks; `NaN` for no samples.
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = q * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+}
+
+/// The median of `samples`.
+pub fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let xs = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&xs), 2.5);
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 1.0), 4.0);
+        assert!(median(&[]).is_nan());
+    }
+}
