@@ -3,14 +3,12 @@
 //! are identical, and writes the results to `BENCH_parallel.json`.
 //!
 //! Two aggregates headline the document. `min_benchmark_speedup` is the
-//! worst per-benchmark parallel/sequential ratio — the suite-global
-//! scheduler's persistent pool must keep even the smallest benchmarks
-//! (whose suffix batches are too short to amortize thread spawns) at
-//! parity, so the trend gate holds this at ≥ 0.95. `overlap_total_s`
-//! times the whole suite submitted *concurrently* to the shared pool
-//! (one submitter per benchmark), the configuration the suite-global
-//! scheduler exists for: long-tail benchmarks overlap instead of
-//! barriering, and every report must still match its sequential run.
+//! worst per-benchmark parallel/sequential ratio — the fan-out must keep
+//! even the smallest benchmarks (whose suffix batches barely amortize a
+//! scoped thread spawn) at parity, so the trend gate holds this at
+//! ≥ 0.95. `overlap_total_s` times the whole suite run *concurrently*
+//! (one caller per benchmark, each with its own scoped helper lanes), and
+//! every report must still match its sequential run (`overlap_identical`).
 //!
 //! Usage: `parallel [--workers N] [--no-fork] [--out PATH]` plus the
 //! shared telemetry flags (see `bench::cli`) — `--workers` defaults to 4
@@ -125,8 +123,8 @@ fn main() {
             key: report_key(&seq_report),
         });
     }
-    // Suite overlap: every benchmark submits its suffix batches to the
-    // shared pool at once. The per-benchmark reports must still match the
+    // Suite overlap: every benchmark runs at once, each fanning out over
+    // its own lanes. The per-benchmark reports must still match the
     // sequential runs — overlap moves scheduling, never results.
     let overlap_start = Instant::now();
     let overlap_keys: Vec<Vec<(yashme::ReportKind, &'static str)>> = {

@@ -2,8 +2,8 @@
 //! run against the checked-in `BENCH_*.json` baselines and flags drops
 //! outside generous thresholds. Two absolute floors ride along with the
 //! baseline-relative checks: no benchmark in `BENCH_parallel.json` may
-//! fall below 0.95x of its own sequential run (the suite-global
-//! scheduler's parity guarantee for small benchmarks), and
+//! fall below 0.95x of its own sequential run (the fan-out's parity
+//! guarantee for small benchmarks), and
 //! `BENCH_vclock.json` must keep small-clock clone/join at 1.5x the
 //! legacy layout (the representation overhaul's reason to exist). Also hosts the coverage gate: a fresh table3
 //! `COVERAGE_baseline.json` is compared against the checked-in one, and
@@ -15,11 +15,12 @@
 //!
 //! Wall-clock numbers move with the host, so the gate is deliberately
 //! loose: throughput may fall to a third of the baseline before it
-//! complains, and only the *logical* invariants (`bounded`,
-//! `reports_identical`, `outcomes_identical`) are hard requirements. By
-//! default every failure is a warning and the exit code stays 0 so a noisy
-//! CI runner can't block a merge; `--strict` turns failures into a nonzero
-//! exit.
+//! complains. Only the *logical* invariants (`bounded`,
+//! `reports_identical`, `overlap_identical`, `outcomes_identical`) are hard
+//! requirements: a violated or missing invariant always exits nonzero,
+//! because no amount of host noise makes a report diverge. Every other
+//! failure is a warning and leaves the exit code at 0 so a noisy CI runner
+//! can't block a merge; `--strict` turns those into a nonzero exit too.
 //!
 //! Usage: `trend [--baseline DIR] [--current DIR] [--strict] [--out PATH]`
 //! — `--baseline` defaults to the repository checkout (`.`), `--current`
@@ -59,6 +60,8 @@ struct Check {
     baseline: Option<f64>,
     current: Option<f64>,
     pass: bool,
+    /// A failure fails the gate even without `--strict`.
+    fatal: bool,
     detail: String,
 }
 
@@ -84,6 +87,7 @@ fn invariant(checks: &mut Vec<Check>, text: &str, file: &str, key: &str) {
         baseline: None,
         current: value.map(f64::from),
         pass: value == Some(true),
+        fatal: true,
         detail: match value {
             Some(true) => "holds".to_owned(),
             Some(false) => "violated".to_owned(),
@@ -112,6 +116,7 @@ fn throughput(checks: &mut Vec<Check>, baseline: &str, current: &str, file: &str
         baseline: b,
         current: c,
         pass,
+        fatal: false,
         detail,
     });
 }
@@ -160,6 +165,7 @@ fn bound(
         baseline: b,
         current: c,
         pass,
+        fatal: false,
         detail,
     });
 }
@@ -187,6 +193,7 @@ fn abs_floor(checks: &mut Vec<Check>, current: &str, file: &str, key: &str, floo
         baseline: Some(floor),
         current: c,
         pass,
+        fatal: false,
         detail,
     });
 }
@@ -203,12 +210,19 @@ fn schema(checks: &mut Vec<Check>, baseline: &str, current: &str, file: &str) {
         // A baseline predating the schema field (None) is tolerated; a
         // mismatch between two stamped documents is not.
         pass: b.is_none() || b == c,
+        fatal: false,
         detail: if b.is_none() || b == c {
             "compatible".to_owned()
         } else {
             "mismatch".to_owned()
         },
     });
+}
+
+/// Whether the gate exits nonzero: on any failed invariant, and on any
+/// failed check at all under `--strict`.
+fn gate_fails(checks: &[Check], strict: bool) -> bool {
+    checks.iter().any(|c| !c.pass && (c.fatal || strict))
 }
 
 fn main() {
@@ -308,10 +322,11 @@ fn main() {
         failures += usize::from(!check.pass);
     }
     println!();
+    let fails = gate_fails(&checks, strict);
     let verdict = if failures == 0 {
         "no regressions"
-    } else if strict {
-        "regressions (strict: failing)"
+    } else if fails {
+        "regressions (failing)"
     } else {
         "regressions (warn-only; pass --strict to fail the build)"
     };
@@ -338,7 +353,7 @@ fn main() {
     json.push_str("}\n");
     std::fs::write(&out, json).expect("write trend json");
     println!("wrote {out}");
-    if strict && failures > 0 {
+    if fails {
         std::process::exit(1);
     }
 }
@@ -411,6 +426,27 @@ mod tests {
         assert!(!checks[1].pass, "{}", checks[1].detail);
         assert!(!checks[2].pass, "missing field fails");
         assert_eq!(checks[0].baseline, Some(0.95), "floor shown as baseline");
+    }
+
+    #[test]
+    fn only_invariants_fail_the_gate_without_strict() {
+        let mut checks = Vec::new();
+        throughput(&mut checks, "{\"x\": 300,}", "{\"x\": 10,}", "f", "x");
+        assert!(!checks[0].pass);
+        assert!(!gate_fails(&checks, false), "throughput is warn-only");
+        assert!(gate_fails(&checks, true), "--strict fails on anything");
+        invariant(
+            &mut checks,
+            "{\"reports_identical\": true,}",
+            "f",
+            "reports_identical",
+        );
+        assert!(!gate_fails(&checks, false), "a holding invariant passes");
+        for doc in ["{\"overlap_identical\": false,}", "{}"] {
+            let mut broken = Vec::new();
+            invariant(&mut broken, doc, "f", "overlap_identical");
+            assert!(gate_fails(&broken, false), "violated or missing: {doc}");
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Parallel exploration on the real evaluation suite: worker pools must
+//! Parallel exploration on the real evaluation suite: fan-out lanes must
 //! reproduce the sequential reports exactly, and (on multi-core hosts)
-//! faster.
+//! faster. Lanes claim chunks in whatever order the OS schedules them;
+//! that must never move what a job computes or how results merge.
 
 use bench::{bug_finding_run_with, evaluation_suite};
-use jaaru::EngineConfig;
-use yashme::{ReportKind, RunReport};
+use jaaru::obs::to_chrome_json;
+use jaaru::{EngineConfig, ExecMode};
+use yashme::json::{coverage_doc, run_json};
+use yashme::{ReportKind, RunReport, YashmeConfig};
 
 fn fingerprint(report: &RunReport) -> Vec<(ReportKind, &'static str)> {
     report
@@ -70,6 +73,51 @@ fn trace_and_metrics_are_worker_count_invariant_on_suite() {
         metrics(&auto),
         "metrics differ at auto workers"
     );
+}
+
+/// Every deterministic surface of one CCEH run, rendered to bytes
+/// (elapsed excluded from the run JSON — wall clock is the one
+/// legitimately nondeterministic field).
+fn surfaces(engine: &EngineConfig, mode: ExecMode) -> (String, String, String, String) {
+    let program = recipe::cceh::program();
+    let report = yashme::check_with(&program, mode, YashmeConfig::default(), engine);
+    (
+        run_json("CCEH", &report, false).render(),
+        report
+            .trace()
+            .map(to_chrome_json)
+            .expect("tracing was requested"),
+        report.metrics().to_json().render(),
+        coverage_doc("CCEH", &report).render(),
+    )
+}
+
+#[test]
+fn reports_identical_across_workers() {
+    let reference = surfaces(
+        &EngineConfig::with_workers(1).with_trace(true),
+        ExecMode::model_check(),
+    );
+    for workers in [8usize, 0] {
+        let got = surfaces(
+            &EngineConfig::with_workers(workers).with_trace(true),
+            ExecMode::model_check(),
+        );
+        assert_eq!(reference, got, "a surface diverged at workers={workers}");
+    }
+}
+
+#[test]
+fn random_mode_identical_across_workers() {
+    let mode = ExecMode::random(20, bench::HARNESS_SEED);
+    let reference = surfaces(&EngineConfig::with_workers(1).with_trace(true), mode);
+    for workers in [8usize, 0] {
+        let got = surfaces(&EngineConfig::with_workers(workers).with_trace(true), mode);
+        assert_eq!(
+            reference, got,
+            "random-mode surface diverged at workers={workers}"
+        );
+    }
 }
 
 /// Acceptance benchmark: 4 workers at least 2x faster than 1 on a suite

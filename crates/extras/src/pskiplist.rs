@@ -276,7 +276,7 @@ mod tests {
     fn heights_are_deterministic_and_bounded() {
         for k in 0..200u64 {
             let h = height_of(k);
-            assert!(h >= 1 && h <= MAX_LEVEL);
+            assert!((1..=MAX_LEVEL).contains(&h));
             assert_eq!(h, height_of(k));
         }
     }

@@ -11,9 +11,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use obs::telemetry::{Telemetry, WallPhase, WorkerStat};
+use obs::telemetry::{Telemetry, WallPhase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -1207,9 +1207,8 @@ impl Engine {
     }
 
     /// Runs every spec, returning outcomes in spec order. With more than
-    /// one worker the specs fan out over a bounded pool fed by a shared
-    /// work queue; each worker builds a private sink per run, so runs
-    /// never share mutable state.
+    /// one worker the specs fan out over up to `workers` lanes; each run
+    /// builds a private sink, so runs never share mutable state.
     #[allow(clippy::too_many_arguments)]
     fn run_specs(
         program: &Program,
@@ -1262,15 +1261,12 @@ impl Engine {
         })
     }
 
-    /// The worker pool: applies `job` to every item, returning results in
-    /// item order. Sequential when `workers <= 1` or there is at most one
-    /// item; otherwise the batch goes to the suite-global work-stealing
-    /// scheduler ([`crate::pool`]) with uniform cost estimates.
+    /// Applies `job` to every item on up to `workers` lanes
+    /// ([`crate::pool::run`]), returning results in item order.
     ///
     /// When `tel` is enabled, per-lane busy/idle wall time is recorded —
-    /// the queue-stall number behind the `--profile` worker-utilization
-    /// line. This is pure observation: job order, results, and merging are
-    /// unaffected.
+    /// the numbers behind the `--profile` lane-utilization line. This is
+    /// pure observation: job order, results, and merging are unaffected.
     fn fan_out<T, R, F>(items: Vec<T>, workers: usize, tel: &Arc<Telemetry>, job: F) -> Vec<R>
     where
         T: Send,
@@ -1281,9 +1277,9 @@ impl Engine {
     }
 
     /// [`Engine::fan_out`] with optional per-item cost estimates (simulated
-    /// event counts) that the scheduler uses to bucket consecutive items
-    /// into chunks of roughly equal cost. Estimates never influence
-    /// results — only how work is grouped and distributed.
+    /// event counts) that bucket consecutive items into chunks of roughly
+    /// equal cost. Estimates never influence results — only how work is
+    /// grouped across lanes.
     fn fan_out_weighted<T, R, F>(
         items: Vec<T>,
         costs: Option<Vec<u64>>,
@@ -1296,27 +1292,7 @@ impl Engine {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        if workers <= 1 || items.len() <= 1 {
-            if !tel.enabled() {
-                return items.into_iter().map(job).collect();
-            }
-            let t0 = Instant::now();
-            let mut jobs = 0u64;
-            let results = items
-                .into_iter()
-                .map(|item| {
-                    jobs += 1;
-                    job(item)
-                })
-                .collect();
-            tel.record_worker(WorkerStat {
-                busy: t0.elapsed(),
-                idle: Duration::ZERO,
-                jobs,
-            });
-            return results;
-        }
-        pool::global().run_batch(items, costs.as_deref(), workers, tel, job)
+        pool::run(items, costs.as_deref(), workers, tel, job)
     }
 
     /// [`Engine::run_single`] plus schedule scripting and snapshot capture:

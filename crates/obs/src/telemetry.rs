@@ -21,7 +21,7 @@
 //! 3. A disabled [`Telemetry`] (the default everywhere) is a handful of
 //!    untaken branches — no timestamps, no locks, no allocation.
 //!
-//! [`Telemetry`] is shared by `Arc`: the coordinator, every pool worker,
+//! [`Telemetry`] is shared by `Arc`: the coordinator, every fan-out lane,
 //! and the background [`Reporter`] thread update and sample it through
 //! atomics. Phase attribution is two-layer: the *top-level* phases
 //! ([`WallPhase::top_level`]) are disjoint segments of the coordinator's
@@ -108,48 +108,28 @@ struct PhaseSlot {
     count: AtomicU64,
 }
 
-/// Busy/idle accounting for one worker-pool thread across one fan-out.
+/// Busy/idle accounting for one fan-out lane, summed over every fan-out
+/// the lane took part in.
 ///
-/// `idle` is queue-stall time: how long the worker sat blocked on the work
-/// queue (including the final wait that ends with queue closure).
-#[derive(Debug, Clone, Copy)]
+/// `idle` is the caller lane's wait for its helper lanes to finish; helper
+/// lanes exit as soon as no chunk is left, so theirs stays zero.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStat {
-    /// Time spent executing jobs.
+    /// Time spent executing chunks.
     pub busy: Duration,
-    /// Time spent blocked on the work queue.
+    /// Time spent waiting for other lanes.
     pub idle: Duration,
-    /// Jobs completed.
+    /// Chunks completed.
     pub jobs: u64,
 }
 
-/// Counters of the suite-global work-stealing scheduler.
-///
-/// `jobs` and `batches` are deterministic functions of the engine
-/// configuration (chunking derives from profile-run cost estimates);
-/// `steals` and `queue_depth` depend on thread timing, which is why all
-/// four live in this plane and never in the deterministic metrics
-/// registry or `--json`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedCounters {
-    /// Individual jobs submitted (one per crash-point suffix, run spec, …).
-    pub jobs: u64,
-    /// Cost-bucketed chunks those jobs were batched into.
-    pub batches: u64,
-    /// Chunks executed by a lane other than their home lane.
-    pub steals: u64,
-    /// High-water mark of chunks queued at submission time.
-    pub queue_depth: u64,
-}
-
-impl SchedCounters {
-    /// Counter-wise difference (`queue_depth` is a gauge: the later
-    /// high-water mark wins), for per-benchmark deltas of a shared handle.
-    pub fn minus(&self, earlier: &SchedCounters) -> SchedCounters {
-        SchedCounters {
+impl WorkerStat {
+    /// Field-wise difference, for per-benchmark deltas of a shared handle.
+    pub fn since(&self, earlier: &WorkerStat) -> WorkerStat {
+        WorkerStat {
+            busy: self.busy.saturating_sub(earlier.busy),
+            idle: self.idle.saturating_sub(earlier.idle),
             jobs: self.jobs.saturating_sub(earlier.jobs),
-            batches: self.batches.saturating_sub(earlier.batches),
-            steals: self.steals.saturating_sub(earlier.steals),
-            queue_depth: self.queue_depth,
         }
     }
 }
@@ -208,10 +188,7 @@ pub struct Telemetry {
     suffixes_resumed: AtomicU64,
     suffixes_pruned: AtomicU64,
     live_slots: AtomicU64,
-    sched_jobs: AtomicU64,
-    sched_batches: AtomicU64,
-    sched_steals: AtomicU64,
-    sched_queue_depth: AtomicU64,
+    /// Per-lane stats, indexed by lane.
     workers: Mutex<Vec<WorkerStat>>,
     ring: Mutex<Ring>,
 }
@@ -256,10 +233,6 @@ impl Telemetry {
             suffixes_resumed: AtomicU64::new(0),
             suffixes_pruned: AtomicU64::new(0),
             live_slots: AtomicU64::new(0),
-            sched_jobs: AtomicU64::new(0),
-            sched_batches: AtomicU64::new(0),
-            sched_steals: AtomicU64::new(0),
-            sched_queue_depth: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
             ring: Mutex::new(Ring {
                 samples: VecDeque::new(),
@@ -365,37 +338,17 @@ impl Telemetry {
         }
     }
 
-    /// Records one worker's busy/idle split for a finished fan-out.
-    pub fn record_worker(&self, stat: WorkerStat) {
+    /// Adds one fan-out's busy/idle split to lane `lane`'s totals.
+    pub fn record_worker(&self, lane: usize, stat: WorkerStat) {
         if self.enabled {
-            self.workers.lock().expect("worker stats").push(stat);
-        }
-    }
-
-    /// Records one scheduler batch: `jobs` items bucketed into `chunks`
-    /// cost-balanced chunks, with `depth` chunks queued at submission.
-    pub fn add_sched_batch(&self, jobs: u64, chunks: u64, depth: u64) {
-        if self.enabled {
-            self.sched_jobs.fetch_add(jobs, Ordering::Relaxed);
-            self.sched_batches.fetch_add(chunks, Ordering::Relaxed);
-            self.sched_queue_depth.fetch_max(depth, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` chunks executed away from their home lane.
-    pub fn add_sched_steals(&self, n: u64) {
-        if self.enabled && n > 0 {
-            self.sched_steals.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// The scheduler counters recorded so far.
-    pub fn sched_counters(&self) -> SchedCounters {
-        SchedCounters {
-            jobs: self.sched_jobs.load(Ordering::Relaxed),
-            batches: self.sched_batches.load(Ordering::Relaxed),
-            steals: self.sched_steals.load(Ordering::Relaxed),
-            queue_depth: self.sched_queue_depth.load(Ordering::Relaxed),
+            let mut workers = self.workers.lock().expect("worker stats");
+            if workers.len() <= lane {
+                workers.resize(lane + 1, WorkerStat::default());
+            }
+            let w = &mut workers[lane];
+            w.busy += stat.busy;
+            w.idle += stat.idle;
+            w.jobs += stat.jobs;
         }
     }
 
@@ -481,7 +434,7 @@ impl Telemetry {
             .collect()
     }
 
-    /// The recorded worker busy/idle stats.
+    /// The recorded busy/idle stats, one per lane, indexed by lane.
     pub fn worker_stats(&self) -> Vec<WorkerStat> {
         self.workers.lock().expect("worker stats").clone()
     }
@@ -635,31 +588,12 @@ impl Telemetry {
             "yashme_live_slots {}",
             self.live_slots.load(Ordering::Relaxed)
         );
-        let sched = self.sched_counters();
-        out.push_str("# HELP yashme_sched_jobs_total Jobs submitted to the work-stealing scheduler.\n");
-        out.push_str("# TYPE yashme_sched_jobs_total counter\n");
-        let _ = writeln!(out, "yashme_sched_jobs_total {}", sched.jobs);
         out.push_str(
-            "# HELP yashme_sched_batches_total Cost-bucketed chunks submitted to the scheduler.\n",
-        );
-        out.push_str("# TYPE yashme_sched_batches_total counter\n");
-        let _ = writeln!(out, "yashme_sched_batches_total {}", sched.batches);
-        out.push_str(
-            "# HELP yashme_sched_steals_total Chunks executed away from their home lane.\n",
-        );
-        out.push_str("# TYPE yashme_sched_steals_total counter\n");
-        let _ = writeln!(out, "yashme_sched_steals_total {}", sched.steals);
-        out.push_str(
-            "# HELP yashme_sched_queue_depth High-water mark of queued chunks at submission.\n",
-        );
-        out.push_str("# TYPE yashme_sched_queue_depth gauge\n");
-        let _ = writeln!(out, "yashme_sched_queue_depth {}", sched.queue_depth);
-        out.push_str(
-            "# HELP yashme_worker_busy_seconds_total Seconds each pool worker spent in jobs.\n",
+            "# HELP yashme_worker_busy_seconds_total Seconds each fan-out lane spent in jobs.\n",
         );
         out.push_str("# TYPE yashme_worker_busy_seconds_total counter\n");
         out.push_str(
-            "# HELP yashme_worker_idle_seconds_total Seconds each pool worker spent queue-stalled.\n",
+            "# HELP yashme_worker_idle_seconds_total Seconds each fan-out lane spent waiting for others.\n",
         );
         out.push_str("# TYPE yashme_worker_idle_seconds_total counter\n");
         for (i, w) in self.worker_stats().iter().enumerate() {
@@ -758,18 +692,10 @@ impl Telemetry {
             };
             let _ = writeln!(
                 out,
-                "  workers: {} pool thread(s), {jobs} job(s); busy {:.3?}, queue-stalled {:.3?} ({util:.1}% busy)",
+                "  fan-out: {} lane(s), {jobs} chunk(s); busy {:.3?}, waiting {:.3?} ({util:.1}% busy)",
                 workers.len(),
                 busy,
                 idle
-            );
-        }
-        let sched = self.sched_counters();
-        if sched.batches > 0 {
-            let _ = writeln!(
-                out,
-                "  sched: {} job(s) in {} chunk(s), {} stolen; peak queue {}",
-                sched.jobs, sched.batches, sched.steals, sched.queue_depth
             );
         }
         out
@@ -973,12 +899,17 @@ mod tests {
         let tel = Telemetry::new();
         tel.add_phase(WallPhase::ProfileRun, Duration::from_millis(5));
         tel.add_events(100);
-        tel.record_worker(WorkerStat {
-            busy: Duration::from_millis(3),
-            idle: Duration::from_millis(1),
-            jobs: 2,
-        });
-        for line in tel.to_prometheus().lines() {
+        tel.record_worker(
+            0,
+            WorkerStat {
+                busy: Duration::from_millis(3),
+                idle: Duration::from_millis(1),
+                jobs: 2,
+            },
+        );
+        let prom = tel.to_prometheus();
+        assert!(prom.contains("yashme_worker_busy_seconds_total{worker=\"0\"} 0.003000"));
+        for line in prom.lines() {
             assert!(!line.is_empty());
             if line.starts_with('#') {
                 assert!(line.starts_with("# HELP ") || line.starts_with("# TYPE "));
@@ -1000,18 +931,47 @@ mod tests {
         tel.add_phase(WallPhase::Merge, Duration::from_millis(35));
         tel.add_phase(WallPhase::GcPass, Duration::from_millis(2));
         tel.add_total(Duration::from_millis(100));
-        tel.record_worker(WorkerStat {
-            busy: Duration::from_millis(50),
-            idle: Duration::from_millis(10),
-            jobs: 7,
-        });
+        tel.record_worker(
+            0,
+            WorkerStat {
+                busy: Duration::from_millis(50),
+                idle: Duration::from_millis(10),
+                jobs: 7,
+            },
+        );
         let tree = tel.render_profile();
         assert!(tree.contains("profile-run"));
         assert!(tree.contains("merge"));
         assert!(tree.contains("gc-pass"));
         assert!(tree.contains("unattributed"));
         assert!(tree.contains("coverage 95.0%"));
-        assert!(tree.contains("7 job(s)"));
+        assert!(tree.contains("1 lane(s), 7 chunk(s)"), "{tree}");
+    }
+
+    #[test]
+    fn worker_stats_accumulate_per_lane() {
+        let tel = Telemetry::new();
+        let stat = |ms, jobs| WorkerStat {
+            busy: Duration::from_millis(ms),
+            idle: Duration::ZERO,
+            jobs,
+        };
+        // Two fan-outs over two lanes, then one over lane 0 alone.
+        for _ in 0..2 {
+            tel.record_worker(0, stat(4, 3));
+            tel.record_worker(1, stat(2, 1));
+        }
+        tel.record_worker(0, stat(1, 1));
+        let lanes = tel.worker_stats();
+        assert_eq!(lanes.len(), 2, "one entry per lane, not per fan-out");
+        assert_eq!((lanes[0].jobs, lanes[1].jobs), (7, 2));
+        assert_eq!(lanes[0].busy, Duration::from_millis(9));
+        assert_eq!(lanes[0].since(&stat(8, 3)).jobs, 4);
+        let prom = tel.to_prometheus();
+        assert_eq!(prom.matches("yashme_worker_busy_seconds_total{").count(), 2);
+        let off = Telemetry::disabled();
+        off.record_worker(0, stat(1, 1));
+        assert!(off.worker_stats().is_empty());
     }
 
     #[test]

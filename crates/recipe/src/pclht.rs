@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn bucket_fits_one_cache_line() {
-        assert!(BUCKET_BYTES <= 64);
+        const { assert!(BUCKET_BYTES <= 64) };
     }
 
     #[test]

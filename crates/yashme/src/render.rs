@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use jaaru::obs::telemetry::{SchedCounters, WorkerStat};
+use jaaru::obs::telemetry::WorkerStat;
 use jaaru::obs::{names, Phase};
 use jaaru::{RaceReport, ReportKind, RunReport, SiteKind};
 
@@ -198,31 +198,19 @@ pub fn render_gc_stats(report: &RunReport) -> String {
     out
 }
 
-/// Renders the suite-global scheduler's counters for one benchmark run
-/// (`yashme --details`): the delta of the wall-clock telemetry plane's
-/// `sched.*` counters across the run, plus one busy/idle line per worker
-/// lane that participated in a batch. Unlike the fork/prune/gc counters
-/// these are *not* deterministic — steals, queue depths, and busy/idle
-/// splits move with the OS scheduler — which is why they ride the
-/// telemetry plane and stay out of `--json` (the deterministic surface).
-/// Renders the empty string when no batch went through the scheduler
-/// (sequential runs, single-suffix benchmarks).
-pub fn render_sched_stats(sched: &SchedCounters, lanes: &[WorkerStat]) -> String {
-    if sched.batches == 0 {
-        return String::new();
-    }
+/// Renders the fan-out lanes' work for one benchmark run (`yashme
+/// --details`): one busy/idle line per lane that ran at least one chunk,
+/// from the per-lane delta of the wall-clock telemetry plane across the
+/// run. Unlike the fork/prune/gc counters these are *not* deterministic —
+/// which lane claims which chunk, and the busy/idle split, move with the
+/// OS scheduler — which is why they ride the telemetry plane and stay out
+/// of `--json` (the deterministic surface).
+pub fn render_sched_stats(lanes: &[WorkerStat]) -> String {
     let mut out = String::new();
-    writeln!(
-        out,
-        "sched: {} suffix job(s) in {} cost-bucketed chunk(s), {} chunk(s) \
-         stolen, peak queue depth {}",
-        sched.jobs, sched.batches, sched.steals, sched.queue_depth,
-    )
-    .expect("write to string");
-    for (i, lane) in lanes.iter().enumerate() {
+    for (i, lane) in lanes.iter().enumerate().filter(|(_, l)| l.jobs > 0) {
         writeln!(
             out,
-            "sched lane {i}: {} chunk(s), busy {:?}, idle {:?}",
+            "lane {i}: {} chunk(s), busy {:?}, idle {:?}",
             lane.jobs, lane.busy, lane.idle,
         )
         .expect("write to string");
@@ -433,28 +421,18 @@ mod tests {
     }
 
     #[test]
-    fn sched_stats_empty_without_batches_and_list_lanes_otherwise() {
+    fn sched_stats_list_only_lanes_that_ran_chunks() {
         use std::time::Duration;
-        let idle = SchedCounters::default();
-        assert_eq!(render_sched_stats(&idle, &[]), "");
-        let sched = SchedCounters {
-            jobs: 37,
-            batches: 14,
-            steals: 2,
-            queue_depth: 14,
-        };
-        let lanes = vec![WorkerStat {
+        assert_eq!(render_sched_stats(&[]), "");
+        let lane = |jobs| WorkerStat {
             busy: Duration::from_millis(3),
             idle: Duration::from_micros(500),
-            jobs: 4,
-        }];
-        let out = render_sched_stats(&sched, &lanes);
-        assert!(
-            out.contains("37 suffix job(s) in 14 cost-bucketed chunk(s)"),
-            "{out}"
-        );
-        assert!(out.contains("2 chunk(s) stolen"), "{out}");
-        assert!(out.contains("sched lane 0: 4 chunk(s)"), "{out}");
+            jobs,
+        };
+        let out = render_sched_stats(&[lane(4), lane(0), lane(2)]);
+        assert!(out.starts_with("lane 0: 4 chunk(s), busy 3ms"), "{out}");
+        assert!(!out.contains("lane 1:"), "{out}");
+        assert!(out.contains("lane 2: 2 chunk(s)"), "{out}");
     }
 
     #[test]

@@ -340,12 +340,12 @@ macro_rules! __proptest_impl {
                 let config: $crate::ProptestConfig = $config;
                 let mut rng = $crate::TestRng::from_name(stringify!($name));
                 for case in 0..config.cases {
-                    let result: ::core::result::Result<(), $crate::TestCaseError> =
-                        (|| {
-                            $(let $arg = $crate::Strategy::generate(&($strategy), &mut rng);)+
-                            $body
-                            ::core::result::Result::Ok(())
-                        })();
+                    let mut run_case = || -> ::core::result::Result<(), $crate::TestCaseError> {
+                        $(let $arg = $crate::Strategy::generate(&($strategy), &mut rng);)+
+                        $body
+                        ::core::result::Result::Ok(())
+                    };
+                    let result = run_case();
                     if let ::core::result::Result::Err(e) = result {
                         panic!(
                             "proptest {} failed at case {}/{}: {}",
