@@ -38,10 +38,13 @@ fn check(
 }
 
 /// Simulated events this run physically executed: the logical event total
-/// minus the prefix events resumed runs inherited from snapshots instead
-/// of re-executing. Equals the logical total when fork mode is off.
+/// minus the prefix events resumed runs inherited from snapshots and minus
+/// the suffix events attributed to skipped class members. Equals the
+/// logical total when fork mode is off.
 fn physical_events(report: &RunReport) -> u64 {
-    report.stats().events() - report.fork_stats().prefix_events_skipped
+    report.stats().events()
+        - report.fork_stats().prefix_events_skipped
+        - report.prune_stats().events_attributed
 }
 
 /// Renders the elapsed-free suite document for one engine configuration:
@@ -93,13 +96,8 @@ fn main() {
     }
     let workers = if c.workers_given { c.engine.workers } else { 1 };
     let out = c.out_or("BENCH_crashfork.json");
-    // Pruning is disabled on both sides: this benchmark isolates the
-    // checkpoint/fork win over full re-execution (`crashprune` measures
-    // equivalence pruning on top of fork mode).
-    let fork_cfg = EngineConfig::with_workers(workers).with_prune(false);
-    let full_cfg = EngineConfig::with_workers(workers)
-        .with_fork(false)
-        .with_prune(false);
+    let fork_cfg = EngineConfig::with_workers(workers);
+    let full_cfg = EngineConfig::with_workers(workers).with_fork(false);
     let (tel, reporter) = c.telemetry.start("crashfork");
 
     let program = crashlog_workload(records);
@@ -195,7 +193,7 @@ mod tests {
         let (fork_report, _) = check(
             &program,
             ExecMode::model_check(),
-            &EngineConfig::sequential().with_prune(false),
+            &EngineConfig::sequential(),
             &tel,
         );
         let (full_report, _) = check(

@@ -1,16 +1,14 @@
-//! Measures crash-state equivalence pruning against fork-only and full
-//! re-execution on a redundancy-heavy workload, verifying the three
-//! reports are byte-identical, and writes the results to
-//! `BENCH_crashprune.json`.
+//! Measures crash-state equivalence pruning against full re-execution on
+//! a redundancy-heavy workload, verifying the two reports are
+//! byte-identical, and writes the results to `BENCH_crashprune.json`.
 //!
-//! Fork mode already reduced crash-point exploration from O(points × run)
-//! to O(prefix + Σ suffixes); pruning attacks the remaining Σ: crash
-//! points separated only by effect-free events (here: redundant re-flush
-//! "scrub" passes over already-persisted lines) share one crash-state
-//! fingerprint, so the engine resumes one representative suffix per
-//! equivalence class and attributes its outcome to the rest. On a
-//! workload with `scrub` redundant passes per record that is a
-//! `(1 + scrub)`-fold cut in resumed suffix runs.
+//! Crash points separated only by effect-free events (here: redundant
+//! re-flush "scrub" passes over already-persisted lines) share one
+//! crash-state fingerprint, so fork mode resumes one representative
+//! suffix per equivalence class and attributes its outcome to the rest.
+//! On a workload with `scrub` redundant passes per record that is a
+//! `(1 + scrub)`-fold cut in resumed suffix runs against one run per crash
+//! point.
 //!
 //! Usage: `crashprune [--records N[,N...]] [--scrub N] [--smoke]
 //! [--workers N] [--emit-reports DIR] [--out PATH]` plus the shared
@@ -89,7 +87,7 @@ impl Row {
 
 /// Renders the elapsed-free suite document for one engine configuration:
 /// the crashprune workload plus every evaluation-suite benchmark in its
-/// paper mode. Byte-identical across prune/fork modes and worker counts.
+/// paper mode. Byte-identical across fork modes and worker counts.
 fn suite_reports(records: usize, scrub: usize, smoke: bool, engine: &EngineConfig) -> String {
     let mut runs = Vec::new();
     let mut total_races = 0;
@@ -144,7 +142,6 @@ fn main() {
     let workers = if c.workers_given { c.engine.workers } else { 1 };
     let out = c.out_or("BENCH_crashprune.json");
     let pruned_cfg = EngineConfig::with_workers(workers);
-    let noprune_cfg = EngineConfig::with_workers(workers).with_prune(false);
     let nofork_cfg = EngineConfig::with_workers(workers).with_fork(false);
     let (tel, reporter) = c.telemetry.start("crashprune");
 
@@ -163,11 +160,7 @@ fn main() {
     for &records in &sweep {
         let program = crashprune_workload(records, scrub);
         let mut rendered: Option<String> = None;
-        for (config, name) in [
-            (&pruned_cfg, "prune"),
-            (&noprune_cfg, "no-prune"),
-            (&nofork_cfg, "no-fork"),
-        ] {
+        for (config, name) in [(&pruned_cfg, "prune"), (&nofork_cfg, "no-fork")] {
             let (report, wall) = check(&program, config, &tel);
             let json = run_json("crashprune", &report, false).render();
             match &rendered {
@@ -195,22 +188,20 @@ fn main() {
     }
     drop(reporter);
     c.telemetry.finish(&tel);
-    // The headline ratio: resumed suffix runs, pruned vs fork-only, at the
-    // largest sweep size.
+    // The headline ratio at the largest sweep size: crash points (one run
+    // each without pruning) per resumed representative.
     let last = *sweep.last().expect("non-empty sweep");
-    let resumed_of = |config: &str| {
-        rows.iter()
-            .find(|r| r.records == last && r.config == config)
-            .map(Row::resumed)
-            .unwrap_or(0)
-    };
-    let prune_resumed = resumed_of("prune");
-    let noprune_resumed = resumed_of("no-prune");
-    let resumed_ratio = noprune_resumed as f64 / prune_resumed.max(1) as f64;
+    let pruned = rows
+        .iter()
+        .find(|r| r.records == last && r.config == "prune")
+        .expect("pruned row at the largest size");
+    let crash_points = pruned.report.crash_points();
+    let representatives = pruned.report.prune_stats().representatives;
+    let resumed_ratio = crash_points as f64 / representatives.max(1) as f64;
     println!();
     println!(
-        "  {last} records: {noprune_resumed} resumed suffixes fork-only vs \
-         {prune_resumed} pruned ({resumed_ratio:.2}x fewer), reports identical: {identical}"
+        "  {last} records: {crash_points} crash points vs {representatives} \
+         representatives resumed ({resumed_ratio:.2}x fewer), reports identical: {identical}"
     );
 
     // serde is stubbed out in this offline build, so render the JSON by
@@ -218,14 +209,14 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str(&cli::meta_header(
         "crashprune",
-        "crashprune workload sweep (prune vs no-prune vs no-fork)",
+        "crashprune workload sweep (prune vs no-fork)",
         Some(&pruned_cfg),
     ));
     let _ = writeln!(json, "  \"scrub_rounds\": {scrub},");
     let _ = writeln!(json, "  \"reports_identical\": {identical},");
     let _ = writeln!(json, "  \"records\": {last},");
-    let _ = writeln!(json, "  \"noprune_resumed\": {noprune_resumed},");
-    let _ = writeln!(json, "  \"prune_resumed\": {prune_resumed},");
+    let _ = writeln!(json, "  \"crash_points\": {crash_points},");
+    let _ = writeln!(json, "  \"representatives\": {representatives},");
     let _ = writeln!(json, "  \"resumed_ratio\": {resumed_ratio:.3},");
     let _ = writeln!(json, "  \"rows\": [");
     for (i, row) in rows.iter().enumerate() {
@@ -241,7 +232,7 @@ fn main() {
         std::fs::create_dir_all(&dir).expect("create report dir");
         for (engine, file) in [
             (&pruned_cfg, "pruned.json"),
-            (&noprune_cfg, "exhaustive.json"),
+            (&nofork_cfg, "exhaustive.json"),
         ] {
             let path = format!("{dir}/{file}");
             std::fs::write(&path, suite_reports(last, scrub, smoke, engine))
@@ -263,29 +254,24 @@ mod tests {
         let program = crashprune_workload(16, 4);
         let tel = Arc::clone(Telemetry::off());
         let (pruned, _) = check(&program, &EngineConfig::sequential(), &tel);
-        let (exhaustive, _) = check(
-            &program,
-            &EngineConfig::sequential().with_prune(false),
-            &tel,
-        );
+        let (full, _) = check(&program, &EngineConfig::sequential().with_fork(false), &tel);
         assert_eq!(
             run_json("crashprune", &pruned, false).render(),
-            run_json("crashprune", &exhaustive, false).render(),
-            "pruned and exhaustive reports must be byte-identical"
+            run_json("crashprune", &full, false).render(),
+            "pruned and full reports must be byte-identical"
         );
-        let resumed_pruned =
-            pruned.fork_stats().resumed_runs - pruned.prune_stats().suffixes_skipped;
-        let resumed_exhaustive = exhaustive.fork_stats().resumed_runs;
+        let representatives = pruned.prune_stats().representatives;
+        let crash_points = pruned.crash_points() as u64;
         assert!(pruned.prune_stats().suffixes_skipped > 0, "pruning engaged");
         assert!(
-            resumed_pruned * 4 <= resumed_exhaustive,
-            "pruned {resumed_pruned} resumed vs exhaustive {resumed_exhaustive}"
+            representatives * 4 <= crash_points,
+            "{representatives} representatives resumed vs {crash_points} crash points"
         );
         assert!(
-            physical_events(&pruned) < physical_events(&exhaustive),
-            "pruned {} events vs exhaustive {}",
+            physical_events(&pruned) < physical_events(&full),
+            "pruned {} events vs full {}",
             physical_events(&pruned),
-            physical_events(&exhaustive)
+            physical_events(&full)
         );
     }
 }

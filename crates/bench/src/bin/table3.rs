@@ -9,7 +9,7 @@
 //! per-site verdict table and crash-space cartography after its rows, and
 //! `--coverage-out PATH` writes the suite coverage document (aggregate
 //! plane first, then per-benchmark planes) — byte-identical across worker
-//! counts and fork/prune/GC strategies, so it can be diffed against
+//! counts and fork/GC strategies, so it can be diffed against
 //! `COVERAGE_baseline.json` by the CI gate.
 
 use jaaru::obs::Json;

@@ -10,7 +10,7 @@
 //! the gate flags coverage *shrinking* (fewer sites, lower attribution,
 //! fewer persisted lines touched) or race exposure *growing* (more raced
 //! or unexercised sites). Coverage numbers are deterministic — measured
-//! on the virtual clock, byte-identical across workers × fork/prune/GC —
+//! on the virtual clock, byte-identical across workers × fork/GC —
 //! so unlike the wall-clock checks these comparisons are exact.
 //!
 //! Wall-clock numbers move with the host, so the gate is deliberately

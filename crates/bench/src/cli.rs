@@ -7,7 +7,7 @@
 //! the table bins. The shared flags are:
 //!
 //! * `--workers N|auto` (also `--workers=N`) — worker-pool size
-//! * `--no-fork` / `--no-prune` / `--no-gc` — disable a physical strategy
+//! * `--no-fork` / `--no-gc` — disable a physical strategy
 //! * `--gc-every N` / `--sample-every N` — tuning knobs
 //! * `--progress` / `--telemetry-out F.jsonl` / `--prom-out F` /
 //!   `--profile` — the wall-clock telemetry plane (stderr/side files only)
@@ -110,31 +110,42 @@ impl CommonArgs {
     }
 }
 
-/// Parses the shared flags from the process arguments.
+/// Parses the shared flags from the process arguments; on a malformed
+/// value prints the error and exits with status 2.
 pub fn common_args() -> CommonArgs {
-    parse_args(std::env::args().skip(1))
+    parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
-/// [`common_args`] over an explicit argument list (testable).
-pub fn parse_args(args: impl IntoIterator<Item = String>) -> CommonArgs {
-    let mut engine = None;
+/// Parses the number following `flag`.
+fn number<N: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<N, String>
+where
+    N::Err: std::fmt::Display,
+{
+    let v = value.ok_or_else(|| format!("{flag} needs a number"))?;
+    v.parse().map_err(|e| format!("bad {flag} {v:?}: {e}"))
+}
+
+/// [`common_args`] over an explicit argument list (testable). Engine flags
+/// apply on top of [`EngineConfig::from_env`]; `--workers` sets only the
+/// worker count.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, String> {
+    let mut engine = EngineConfig::from_env();
     let mut workers_given = false;
-    let mut fork = true;
-    let mut prune = true;
-    let mut gc = true;
-    let mut gc_every = None;
-    let mut sample_every = None;
     let mut telemetry = TelemetryFlags::default();
     let mut out = None;
     let mut rest = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--no-fork" => fork = false,
-            "--no-prune" => prune = false,
-            "--no-gc" => gc = false,
-            "--gc-every" => gc_every = args.next().and_then(|v| v.parse().ok()),
-            "--sample-every" => sample_every = args.next().and_then(|v| v.parse().ok()),
+            "--no-fork" => engine = engine.with_fork(false),
+            "--no-gc" => engine = engine.with_gc(false),
+            "--gc-every" => engine = engine.with_gc_every(number("--gc-every", args.next())?),
+            "--sample-every" => {
+                engine = engine.with_sample_every(number("--sample-every", args.next())?)
+            }
             "--progress" => telemetry.progress = true,
             "--telemetry-out" => telemetry.telemetry_out = args.next(),
             "--prom-out" => telemetry.prom_out = args.next(),
@@ -149,45 +160,25 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> CommonArgs {
                 match value {
                     Some(v) => {
                         workers_given = true;
-                        // `--workers` replaces the whole config (matching
-                        // the historical per-bin behavior); `--no-*` flags
-                        // apply on top below.
-                        engine = Some(if v.eq_ignore_ascii_case("auto") {
-                            EngineConfig::with_workers(0)
+                        engine.workers = if v.eq_ignore_ascii_case("auto") {
+                            0
                         } else {
-                            EngineConfig::with_workers(v.parse().unwrap_or(1))
-                        });
+                            number("--workers", Some(v))?
+                        };
                     }
+                    None if arg == "--workers" => return Err("--workers needs a number".into()),
                     None => rest.push(arg),
                 }
             }
         }
     }
-    let mut engine = engine.unwrap_or_else(EngineConfig::from_env);
-    // Only apply explicit `--no-*`; otherwise keep whatever the config
-    // already says (e.g. `YASHME_FORK=0` via `from_env`).
-    if !fork {
-        engine = engine.with_fork(false);
-    }
-    if !prune {
-        engine = engine.with_prune(false);
-    }
-    if !gc {
-        engine = engine.with_gc(false);
-    }
-    if let Some(every) = gc_every {
-        engine = engine.with_gc_every(every);
-    }
-    if let Some(every) = sample_every {
-        engine = engine.with_sample_every(every);
-    }
-    CommonArgs {
+    Ok(CommonArgs {
         engine,
         workers_given,
         telemetry,
         out,
         rest,
-    }
+    })
 }
 
 /// Renders the `schema_version` + run-metadata preamble of a hand-written
@@ -203,7 +194,6 @@ pub fn meta_header(bench: &str, workload: &str, engine: Option<&EngineConfig>) -
     if let Some(e) = engine {
         let _ = writeln!(s, "  \"workers\": {},", e.workers);
         let _ = writeln!(s, "  \"fork\": {},", e.fork);
-        let _ = writeln!(s, "  \"prune\": {},", e.prune);
         let _ = writeln!(s, "  \"gc\": {},", e.gc);
     }
     s
@@ -214,7 +204,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> CommonArgs {
-        parse_args(args.iter().map(|s| s.to_string()))
+        parse_args(args.iter().map(|s| s.to_string())).expect("valid args")
     }
 
     #[test]
@@ -245,6 +235,19 @@ mod tests {
         assert_eq!(parse(&["--workers=4"]).engine.workers, 4);
         assert_eq!(parse(&["--workers", "auto"]).engine.workers, 0);
         assert!(!parse(&[]).workers_given);
+    }
+
+    #[test]
+    fn malformed_numbers_are_errors() {
+        let err = |args: &[&str]| parse_args(args.iter().map(|s| s.to_string())).unwrap_err();
+        assert!(err(&["--workers", "abc"]).contains("--workers"));
+        assert!(err(&["--workers=abc"]).contains("--workers"));
+        assert!(err(&["--workers"]).contains("--workers"));
+        assert!(err(&["--gc-every", "abc"]).contains("--gc-every"));
+        assert!(err(&["--gc-every"]).contains("--gc-every"));
+        assert!(err(&["--sample-every", "-1"]).contains("--sample-every"));
+        assert_eq!(parse(&["--gc-every", "7"]).engine.gc_every, 7);
+        assert_eq!(parse(&["--sample-every", "3"]).engine.sample_every, 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Determinism contract for the coverage plane: the coverage JSON — the
 //! per-site verdict table, crash-space cartography, and suite document —
 //! is byte-identical across worker counts and across every physical
-//! strategy combination (fork/prune/GC on/off). Coverage is measured on
+//! strategy combination (fork/GC on/off). Coverage is measured on
 //! the deterministic virtual clock; how the crash space was physically
 //! explored must never show through.
 
@@ -31,21 +31,19 @@ fn coverage_json_identical_at_workers_1_8_auto() {
 }
 
 #[test]
-fn coverage_json_identical_across_fork_prune_gc() {
+fn coverage_json_identical_across_fork_gc() {
     let reference = coverage_bytes(&EngineConfig::with_workers(1));
-    for mask in 0u8..8 {
+    for mask in 0u8..4 {
         let engine = EngineConfig::with_workers(4)
             .with_fork(mask & 1 != 0)
-            .with_prune(mask & 2 != 0)
-            .with_gc(mask & 4 != 0);
+            .with_gc(mask & 2 != 0);
         let got = coverage_bytes(&engine);
         assert_eq!(
             reference,
             got,
-            "coverage differs at fork={} prune={} gc={}",
+            "coverage differs at fork={} gc={}",
             mask & 1 != 0,
-            mask & 2 != 0,
-            mask & 4 != 0
+            mask & 2 != 0
         );
     }
 }
@@ -68,7 +66,6 @@ fn suite_document_identical_across_strategies() {
         EngineConfig::with_workers(0),
         EngineConfig::with_workers(4)
             .with_fork(false)
-            .with_prune(false)
             .with_gc(false),
     ];
     for engine in &strategies {

@@ -22,7 +22,7 @@ use crate::mem::{MemState, PersistencePolicy};
 use crate::pool;
 use crate::report::{ForkStats, GcStats, PruneStats, RaceReport, RunReport};
 use crate::sched::{Core, CrashCtl, PointRecord, SchedPolicy, Shared, Snapshot, SnapshotLog};
-use crate::sink::{EventSink, GcParanoidSink, NullSink, SpanTraceSink};
+use crate::sink::{EventSink, NullSink, SpanTraceSink};
 use crate::Program;
 
 /// Configuration of model-checking mode: systematic crash injection before
@@ -94,29 +94,24 @@ pub struct EngineConfig {
     /// count — into [`RunReport::trace`](crate::RunReport::trace). When
     /// off, sinks are used unwrapped and no trace state is allocated.
     pub trace: bool,
-    /// Checkpoint/fork crash-point exploration (on by default).
+    /// Checkpoint/fork crash-point exploration with equivalence pruning
+    /// (on by default).
     ///
     /// In model-checking mode the engine runs the deterministic pre-crash
-    /// schedule once, captures a copy-on-write snapshot of the full
-    /// simulator state at every crash point, and resumes only the
-    /// post-crash continuation from each snapshot — O(prefix + Σ suffixes)
-    /// instead of O(points × full run). The aggregated [`RunReport`] is
-    /// byte-identical either way; switch off via `--no-fork` /
-    /// `YASHME_FORK=0` to compare or to debug a full re-execution.
-    pub fork: bool,
-    /// Crash-state equivalence pruning (on by default; effective only with
-    /// `fork` in model-checking mode).
-    ///
-    /// The profiling run keeps a rolling fingerprint of everything a crash
+    /// schedule once and keeps a rolling fingerprint of everything a crash
     /// would materialize — persisted image, committed cache state, and the
     /// detector state feeding reports. Consecutive crash points with equal
     /// fingerprints (separated only by effect-free events such as redundant
-    /// re-flushes of persisted lines) yield byte-identical post-crash
-    /// results, so the engine resumes one *representative* suffix per
-    /// equivalence class and attributes its outcome to the other members.
-    /// The aggregated [`RunReport`] stays byte-identical to exhaustive
-    /// exploration; switch off via `--no-prune` / `YASHME_PRUNE=0`.
-    pub prune: bool,
+    /// re-flushes of persisted lines) form one equivalence class. The
+    /// profiling run captures a copy-on-write snapshot of the full
+    /// simulator state at each class's first point, the engine resumes
+    /// only that *representative's* post-crash continuation, and its
+    /// outcome is attributed to the other members — O(prefix + Σ class
+    /// suffixes) instead of O(points × full run). The aggregated
+    /// [`RunReport`] is byte-identical either way; switch off via
+    /// `--no-fork` / `YASHME_FORK=0` to re-execute every crash target in
+    /// full (the differential oracle).
+    pub fork: bool,
     /// Paranoid pruning verification (off by default): resume *every*
     /// class member anyway and assert its executed outcome matches the
     /// attributed one, panicking on divergence. Costs what pruning saves —
@@ -144,11 +139,6 @@ pub struct EngineConfig {
     /// materialization that *bounds* memory is eager and independent of
     /// this knob.
     pub gc_every: u32,
-    /// Paranoid GC verification (off by default): run a second, never-
-    /// retired detector in lockstep and assert both halves drain identical
-    /// reports (`YASHME_GC_PARANOID=1`). Costs the memory GC saves — a
-    /// correctness harness, not a production mode.
-    pub gc_paranoid: bool,
     /// Periodic crash-point sampling (off by default; `0`/`1` explore every
     /// point). With `sample_every = N > 1`, model checking injects crashes
     /// only at every Nth discovered crash point — the soak-scale trade:
@@ -164,11 +154,9 @@ impl Default for EngineConfig {
             workers: 1,
             trace: false,
             fork: true,
-            prune: true,
             prune_paranoid: false,
             gc: true,
             gc_every: 4096,
-            gc_paranoid: false,
             sample_every: 0,
         }
     }
@@ -200,13 +188,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with crash-state equivalence pruning switched on or
-    /// off.
-    pub fn with_prune(mut self, prune: bool) -> Self {
-        self.prune = prune;
-        self
-    }
-
     /// Returns a copy with paranoid pruning verification switched on or
     /// off.
     pub fn with_prune_paranoid(mut self, paranoid: bool) -> Self {
@@ -227,12 +208,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with paranoid GC verification switched on or off.
-    pub fn with_gc_paranoid(mut self, paranoid: bool) -> Self {
-        self.gc_paranoid = paranoid;
-        self
-    }
-
     /// Returns a copy exploring only every `every`th crash point (`0` or
     /// `1` explore every point).
     pub fn with_sample_every(mut self, every: u32) -> Self {
@@ -247,14 +222,10 @@ impl EngineConfig {
     ///   execution.
     /// * `YASHME_FORK` — `0`/`false`/`off` disables checkpoint/fork
     ///   exploration (any other value, or unset, leaves it on).
-    /// * `YASHME_PRUNE` — `0`/`false`/`off` disables crash-state
-    ///   equivalence pruning (any other value, or unset, leaves it on).
     /// * `YASHME_PRUNE_PARANOID` — `1`/`true`/`on` enables paranoid
     ///   pruning verification.
     /// * `YASHME_GC` — `0`/`false`/`off` disables streaming epoch GC.
     /// * `YASHME_GC_EVERY` — commits between GC passes (default 4096).
-    /// * `YASHME_GC_PARANOID` — `1`/`true`/`on` enables the lockstep
-    ///   un-GC'd shadow detector.
     /// * `YASHME_SAMPLE_EVERY` — explore only every Nth crash point
     ///   (unset, `0`, or `1`: every point).
     pub fn from_env() -> Self {
@@ -268,11 +239,6 @@ impl EngineConfig {
         if let Ok(v) = std::env::var("YASHME_FORK") {
             if off(&v) {
                 config.fork = false;
-            }
-        }
-        if let Ok(v) = std::env::var("YASHME_PRUNE") {
-            if off(&v) {
-                config.prune = false;
             }
         }
         let on =
@@ -290,11 +256,6 @@ impl EngineConfig {
         if let Ok(v) = std::env::var("YASHME_GC_EVERY") {
             if let Ok(n) = v.parse::<u32>() {
                 config.gc_every = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("YASHME_GC_PARANOID") {
-            if on(&v) {
-                config.gc_paranoid = true;
             }
         }
         if let Ok(v) = std::env::var("YASHME_SAMPLE_EVERY") {
@@ -507,7 +468,6 @@ impl Engine {
                 let snaplog = Some(SnapshotLog::new(
                     capture_phases,
                     config.fork,
-                    config.prune,
                     config.prune_paranoid,
                     sample,
                 ));
@@ -549,72 +509,34 @@ impl Engine {
                 Self::sample_queue_depth(&mut queue_depth, targets.len());
                 tel.add_points_total(targets.len() as u64);
                 cartography = Self::build_cartography(&profile_points, log.as_ref());
-                // Resume from snapshots when the profiling run captured a
-                // usable set — one per target, or with pruning one per
-                // equivalence class; otherwise (fork disabled, or the sink
-                // cannot fork) fall back to one full re-execution per
-                // target.
+                // Resume one representative per equivalence class when the
+                // profiling run captured a usable snapshot set; otherwise
+                // (fork disabled, or the sink cannot fork) fall back to one
+                // full re-execution per target.
                 let snaps = log.filter(|l| {
                     if l.unsupported || l.records.len() != targets.len() {
                         return false;
                     }
-                    let expected = if l.prune && !l.paranoid {
-                        Self::class_ranges(&l.records).len()
-                    } else {
+                    let expected = if l.paranoid {
                         targets.len()
+                    } else {
+                        Self::class_ranges(&l.records).len()
                     };
                     l.snaps.len() == expected
                 });
                 match snaps {
                     Some(log) => {
                         acc.fork.snapshots += log.snaps.len() as u64;
-                        if log.prune {
-                            Self::run_pruned(
-                                program,
-                                log,
-                                &profile_points,
-                                profile_events,
-                                profile_spec.persistence,
-                                workers,
-                                &mut acc,
-                                tel,
-                            );
-                        } else {
-                            // Estimate each suffix's cost as the events the
-                            // profiling run executed *after* its crash point
-                            // — the scheduler buckets small suffixes into
-                            // chunks from these.
-                            let costs: Vec<u64> = log
-                                .records
-                                .iter()
-                                .map(|r| r.suffix_cost(profile_events))
-                                .collect();
-                            let runs = {
-                                let _t = tel.time(WallPhase::SuffixResume);
-                                Self::fan_out_weighted(
-                                    log.snaps,
-                                    Some(costs),
-                                    workers,
-                                    tel,
-                                    |snap| {
-                                        let run = Self::resume_run(
-                                            program,
-                                            snap,
-                                            &profile_points,
-                                            profile_spec.persistence,
-                                        );
-                                        tel.suffix_resumed();
-                                        tel.add_points_done(1);
-                                        tel.execution_done();
-                                        run
-                                    },
-                                )
-                            };
-                            let _t = tel.time(WallPhase::Merge);
-                            for run in runs {
-                                acc.absorb_run(run);
-                            }
-                        }
+                        Self::run_pruned(
+                            program,
+                            log,
+                            &profile_points,
+                            profile_events,
+                            profile_spec.persistence,
+                            workers,
+                            &mut acc,
+                            tel,
+                        );
                     }
                     None => {
                         let specs: Vec<RunSpec> = targets
@@ -803,12 +725,12 @@ impl Engine {
     /// records: per targeted phase, how many crash points the program
     /// offered, how many periodic sampling skipped, how many distinct
     /// crash-state equivalence classes the sampled points fell into
-    /// (`explored` — what pruning resumes, and what exhaustive resumption
+    /// (`explored` — what fork mode resumes, and what full re-execution
     /// covers redundantly), and the class-size histogram.
     ///
     /// Everything is computed from the record stream and the fingerprint
     /// structure, both of which are strategy-independent, so the chart is
-    /// byte-identical across fork/prune/GC on/off and every worker count.
+    /// byte-identical across fork/GC on/off and every worker count.
     fn build_cartography(profile_points: &[usize], log: Option<&SnapshotLog>) -> obs::Cartography {
         let Some(log) = log else {
             return obs::Cartography::default();
@@ -889,7 +811,7 @@ impl Engine {
         // back in class order, representative first.
         let runs = {
             let _t = tel.time(WallPhase::SuffixResume);
-            Self::fan_out_weighted(snaps, Some(costs), workers, tel, |snap| {
+            pool::run(snaps, Some(&costs), workers, tel, |snap| {
                 let run = Self::resume_run(program, snap, profile_points, persistence);
                 // Every physically resumed suffix completes one crash point
                 // (a representative here, or every point under paranoia).
@@ -991,17 +913,10 @@ impl Engine {
         )
     }
 
-    /// Builds the per-run sink: the factory's sink — doubled into a
-    /// lockstep [`GcParanoidSink`] pair under paranoid GC — wrapped in a
-    /// [`SpanTraceSink`] when tracing is on. The trace wrapper goes
-    /// *outside* the paranoid pair so the virtual clock ticks once per
-    /// logical event, not per half.
+    /// Builds the per-run sink: the factory's sink, wrapped in a
+    /// [`SpanTraceSink`] when tracing is on.
     fn make_sink(sink_factory: SinkFactory<'_>, config: &EngineConfig) -> Box<dyn EventSink> {
-        let inner: Box<dyn EventSink> = if config.gc && config.gc_paranoid {
-            Box::new(GcParanoidSink::new(sink_factory(), sink_factory()))
-        } else {
-            sink_factory()
-        };
+        let inner = sink_factory();
         if config.trace {
             Box::new(SpanTraceSink::new(inner))
         } else {
@@ -1110,29 +1025,6 @@ impl Engine {
         crash_target: Option<(usize, usize)>,
         sink: Box<dyn EventSink>,
     ) -> SingleRun {
-        Self::run_single_with(
-            program,
-            policy,
-            persistence,
-            seed,
-            crash_target,
-            sink,
-            &EngineConfig::default(),
-        )
-    }
-
-    /// [`Engine::run_single`] with explicit engine configuration (the soak
-    /// harness uses this to flip streaming GC per run).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_single_with(
-        program: &Program,
-        policy: SchedPolicy,
-        persistence: PersistencePolicy,
-        seed: u64,
-        crash_target: Option<(usize, usize)>,
-        sink: Box<dyn EventSink>,
-        config: &EngineConfig,
-    ) -> SingleRun {
         Self::run_single_observed(
             program,
             policy,
@@ -1140,14 +1032,15 @@ impl Engine {
             seed,
             crash_target,
             sink,
-            config,
+            &EngineConfig::default(),
             Telemetry::off(),
         )
     }
 
-    /// [`Engine::run_single_with`] publishing wall-clock telemetry to
-    /// `tel` (see [`Engine::run_observed`] for the plane contract). The
-    /// whole run is attributed to the full-run phase.
+    /// [`Engine::run_single`] with explicit engine configuration (the soak
+    /// harness uses this to flip streaming GC per run), publishing
+    /// wall-clock telemetry to `tel` (see [`Engine::run_observed`] for the
+    /// plane contract). The whole run is attributed to the full-run phase.
     #[allow(clippy::too_many_arguments)]
     pub fn run_single_observed(
         program: &Program,
@@ -1219,7 +1112,7 @@ impl Engine {
         tel: &Arc<Telemetry>,
         count_points: bool,
     ) -> Vec<SingleRun> {
-        Self::fan_out(specs, workers, tel, |spec| {
+        pool::run(specs, None, workers, tel, |spec| {
             let run = Self::run_spec(
                 program,
                 spec,
@@ -1244,55 +1137,27 @@ impl Engine {
         sink_factory: SinkFactory<'_>,
         workers: usize,
     ) -> Vec<(SingleRun, Vec<(usize, usize)>)> {
-        Self::fan_out(scripts.to_vec(), workers, Telemetry::off(), |script| {
-            let (run, log, _) = Self::run_inner(
-                program,
-                SchedPolicy::Scripted,
-                PersistencePolicy::FullCache,
-                0,
-                crash_target,
-                sink_factory(),
-                script,
-                None,
-                Self::gc_period(&EngineConfig::default()),
-                Telemetry::off(),
-            );
-            (run, log)
-        })
-    }
-
-    /// Applies `job` to every item on up to `workers` lanes
-    /// ([`crate::pool::run`]), returning results in item order.
-    ///
-    /// When `tel` is enabled, per-lane busy/idle wall time is recorded —
-    /// the numbers behind the `--profile` lane-utilization line. This is
-    /// pure observation: job order, results, and merging are unaffected.
-    fn fan_out<T, R, F>(items: Vec<T>, workers: usize, tel: &Arc<Telemetry>, job: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        Self::fan_out_weighted(items, None, workers, tel, job)
-    }
-
-    /// [`Engine::fan_out`] with optional per-item cost estimates (simulated
-    /// event counts) that bucket consecutive items into chunks of roughly
-    /// equal cost. Estimates never influence results — only how work is
-    /// grouped across lanes.
-    fn fan_out_weighted<T, R, F>(
-        items: Vec<T>,
-        costs: Option<Vec<u64>>,
-        workers: usize,
-        tel: &Arc<Telemetry>,
-        job: F,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        pool::run(items, costs.as_deref(), workers, tel, job)
+        pool::run(
+            scripts.to_vec(),
+            None,
+            workers,
+            Telemetry::off(),
+            |script| {
+                let (run, log, _) = Self::run_inner(
+                    program,
+                    SchedPolicy::Scripted,
+                    PersistencePolicy::FullCache,
+                    0,
+                    crash_target,
+                    sink_factory(),
+                    script,
+                    None,
+                    Self::gc_period(&EngineConfig::default()),
+                    Telemetry::off(),
+                );
+                (run, log)
+            },
+        )
     }
 
     /// [`Engine::run_single`] plus schedule scripting and snapshot capture:

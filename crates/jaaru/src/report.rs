@@ -228,13 +228,13 @@ impl ForkStats {
 ///
 /// Physical-strategy counters like [`ForkStats`]: excluded from
 /// [`RunReport::metrics`] and the JSON surface, because they legitimately
-/// differ between pruned and exhaustive exploration while the logical
+/// differ between pruned and full exploration while the logical
 /// report must stay byte-identical. Surfaced through
 /// [`RunReport::prune_stats`] / [`RunReport::prune_metrics`] only.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PruneStats {
     /// Distinct `(phase, fingerprint)` equivalence classes among the crash
-    /// points of the profiling run (0 when pruning was off or inactive).
+    /// points of the profiling run (0 when fork mode was off or inactive).
     pub classes: u64,
     /// Representative suffixes actually resumed — one per class.
     pub representatives: u64,
@@ -406,8 +406,8 @@ impl RunReport {
 
     /// The coverage plane: per-site counters/verdicts and the crash-space
     /// cartography accumulated over the whole run. Part of the logical
-    /// report surface — byte-identical across worker counts and fork/prune/
-    /// GC strategy choices (see `obs::coverage`).
+    /// report surface — byte-identical across worker counts and fork/GC
+    /// strategy choices (see `obs::coverage`).
     pub fn coverage(&self) -> &obs::CoverageReport {
         &self.coverage
     }

@@ -236,19 +236,16 @@ pub(crate) struct SnapshotLog {
     /// When `false`, the log runs in records-only mode: every point still
     /// gets a [`PointRecord`] (the coverage plane's crash-space cartography
     /// is derived from the record stream, whatever the resume strategy),
-    /// but no [`Snapshot`] is captured — fork/prune are off.
+    /// but no [`Snapshot`] is captured — fork is off.
     pub capture_snaps: bool,
     /// Current phase index, maintained by the engine's phase prologue.
     pub phase: usize,
     pub snaps: Vec<Snapshot>,
     /// One record per crash point in the capture phases, snapshot or not.
     pub records: Vec<PointRecord>,
-    /// Equivalence pruning: skip the (expensive) snapshot capture for a
-    /// point whose `(phase, fingerprint)` equals the previous point's —
-    /// that class already has a representative snapshot.
-    pub prune: bool,
-    /// Paranoid verification: capture every point even when pruning, so the
-    /// engine can execute skipped members and cross-check attribution.
+    /// Paranoid verification: capture every point, not only each class's
+    /// representative, so the engine can execute skipped members and
+    /// cross-check attribution.
     pub paranoid: bool,
     /// Periodic crash-point sampling (`--sample-every N`): observe only
     /// points whose phase-local index is a multiple of `sample`. `0` and `1`
@@ -264,20 +261,13 @@ pub(crate) struct SnapshotLog {
 }
 
 impl SnapshotLog {
-    pub fn new(
-        capture_phases: usize,
-        capture_snaps: bool,
-        prune: bool,
-        paranoid: bool,
-        sample: usize,
-    ) -> Self {
+    pub fn new(capture_phases: usize, capture_snaps: bool, paranoid: bool, sample: usize) -> Self {
         SnapshotLog {
             capture_phases,
             capture_snaps,
             phase: 0,
             snaps: Vec::new(),
             records: Vec::new(),
-            prune,
             paranoid,
             sample,
             last: None,
@@ -486,7 +476,7 @@ impl Shared {
             // resume strategy will consume snapshots.
             return;
         }
-        if log.prune && !log.paranoid && !fresh {
+        if !log.paranoid && !fresh {
             // Same class as the previous point: its representative snapshot
             // is already captured. Skipping `mem.fork()` here is the
             // profiling-run half of the pruning win.

@@ -527,8 +527,9 @@ impl<S: EventSink> EventSink for SpanTraceSink<S> {
     }
 }
 
-/// Paranoid streaming-GC mode (`YASHME_GC_PARANOID=1`): runs a second,
-/// never-retired copy of the sink in lockstep with the primary.
+/// Paranoid streaming-GC check: runs a second, never-retired copy of the
+/// sink in lockstep with the primary. Build the pair in a sink factory
+/// (`|| Box::new(GcParanoidSink::new(det(), det()))`) to verify GC.
 ///
 /// Both halves receive the identical logical event stream; only the primary
 /// receives [`EventSink::on_stores_retired`]. At every report drain the two

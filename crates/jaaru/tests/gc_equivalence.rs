@@ -2,8 +2,8 @@
 //! stats, metrics, `--json` rendering, and span traces — must be
 //! byte-identical between GC-on and GC-off runs, at every worker count, on
 //! the real benchmark suite and on randomized programs. Mirrors
-//! `prune_equivalence.rs` and `fork_equivalence.rs`, which pin the same
-//! contract for the other physical strategies.
+//! `exploration_equivalence.rs`, which pins the same contract for fork
+//! mode.
 //!
 //! GC is aggressive here (`gc_every(1)`: a mark-sweep pass after every
 //! committed store) so retirement happens constantly even on small
@@ -12,33 +12,12 @@
 //! (`gc_never_retires_an_unpersisted_store` et al.); these tests pin the
 //! end-to-end contract.
 
+mod common;
+
 use bench::{evaluation_suite, SuiteMode, HARNESS_SEED};
-use jaaru::{Atomicity, Ctx, EngineConfig, ExecMode, Program, RunReport};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use yashme::json::run_json;
-use yashme::YashmeConfig;
-
-/// Worker counts every comparison runs at: sequential, a small pool, and
-/// one-per-CPU.
-const WORKER_COUNTS: [usize; 3] = [1, 8, 0];
-
-/// The full comparison surface of one run: the elapsed-free `--json`
-/// document (races with provenance, labels, executions, crash points,
-/// panics, dedup hits, metrics) plus the raw stats and race debug
-/// renderings.
-fn fingerprint(name: &str, report: &RunReport) -> String {
-    format!(
-        "{}\n{:?}\n{:?}",
-        run_json(name, report, false).render(),
-        report.stats(),
-        report.races(),
-    )
-}
-
-fn check(program: &Program, mode: ExecMode, engine: &EngineConfig) -> RunReport {
-    yashme::check_with(program, mode, YashmeConfig::default(), engine)
-}
+use common::{check, fingerprint, Kind, WORKER_COUNTS};
+use jaaru::{Engine, EngineConfig, ExecMode, GcParanoidSink};
+use yashme::{YashmeConfig, YashmeDetector};
 
 /// GC at its most aggressive: a pass after every commit.
 fn gc_hot(workers: usize) -> EngineConfig {
@@ -69,120 +48,25 @@ fn gc_matches_unbounded_on_the_evaluation_suite() {
     }
 }
 
-/// One operation of the randomized-program language. Offsets are 8-byte
-/// slots inside the root region.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Store { slot: u64, val: u64, release: bool },
-    Load { slot: u64, acquire: bool },
-    Clflush { slot: u64 },
-    Clwb { slot: u64 },
-    Sfence,
-    Mfence,
-    Cas { slot: u64, expected: u64, new: u64 },
-    FetchAdd { slot: u64, delta: u64 },
-}
-
-const SLOTS: u64 = 24;
-
-fn random_ops(rng: &mut StdRng, n: usize) -> Vec<Op> {
-    (0..n)
-        .map(|_| {
-            let slot = rng.gen_range(0..SLOTS);
-            match rng.gen_range(0..10u32) {
-                // Store-and-flush heavy: overwrites of already-persisted
-                // slots are exactly what retirement feeds on, and loads of
-                // retired-then-reused addresses are the readback hazard.
-                0..=3 => Op::Store {
-                    slot,
-                    val: rng.gen_range(1..1000),
-                    release: rng.gen_range(0..2) == 0,
-                },
-                4 => Op::Load {
-                    slot,
-                    acquire: rng.gen_range(0..2) == 0,
-                },
-                5..=6 => Op::Clflush { slot },
-                7 => Op::Clwb { slot },
-                8 => Op::Sfence,
-                9 if slot % 3 == 0 => Op::Mfence,
-                9 if slot % 3 == 1 => Op::Cas {
-                    slot,
-                    expected: 0,
-                    new: rng.gen_range(1..100),
-                },
-                _ => Op::FetchAdd {
-                    slot,
-                    delta: rng.gen_range(1..5),
-                },
-            }
-        })
-        .collect()
-}
-
-fn apply(ctx: &mut Ctx, ops: &[Op]) {
-    let base = ctx.root();
-    for op in ops {
-        match *op {
-            Op::Store { slot, val, release } => {
-                let atom = if release {
-                    Atomicity::ReleaseAcquire
-                } else {
-                    Atomicity::Plain
-                };
-                ctx.store_u64(base + slot * 8, val, atom, "rand.slot");
-            }
-            Op::Load { slot, acquire } => {
-                let atom = if acquire {
-                    Atomicity::ReleaseAcquire
-                } else {
-                    Atomicity::Plain
-                };
-                let _ = ctx.load_u64(base + slot * 8, atom);
-            }
-            Op::Clflush { slot } => ctx.clflush(base + slot * 8),
-            Op::Clwb { slot } => ctx.clwb(base + slot * 8),
-            Op::Sfence => ctx.sfence(),
-            Op::Mfence => ctx.mfence(),
-            Op::Cas {
-                slot,
-                expected,
-                new,
-            } => {
-                let _ = ctx.cas_u64(base + slot * 8, expected, new, "rand.cas");
-            }
-            Op::FetchAdd { slot, delta } => {
-                let _ = ctx.fetch_add_u64(base + slot * 8, delta, "rand.faa");
-            }
-        }
+/// Store-and-flush heavy: overwrites of already-persisted slots are
+/// exactly what retirement feeds on, and loads of retired-then-reused
+/// addresses are the readback hazard. The final phase's scans force
+/// post-crash loads of addresses whose history GC may have retired.
+fn gc_mix(roll: u32, slot: u64) -> Kind {
+    match roll {
+        0..=3 => Kind::Store,
+        4 => Kind::Load,
+        5..=6 => Kind::Clflush,
+        7 => Kind::Clwb,
+        8 => Kind::Sfence,
+        9 if slot.is_multiple_of(3) => Kind::Mfence,
+        9 if slot % 3 == 1 => Kind::Cas,
+        _ => Kind::FetchAdd,
     }
 }
 
-/// A randomized program in the style of the sibling equivalence suites: a
-/// pre-crash phase of random store/flush/fence/CAS traffic (plus one
-/// spawned thread for scheduler coverage), a recovery phase that also
-/// mutates and flushes, and a final phase that scans every slot — the
-/// scans force post-crash loads of addresses whose history GC may have
-/// retired.
-fn random_program(seed: u64) -> Program {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pre = random_ops(&mut rng, 28);
-    let spawned = random_ops(&mut rng, 6);
-    let recovery = random_ops(&mut rng, 10);
-    Program::new("randomized")
-        .pre_crash(move |ctx: &mut Ctx| {
-            let child_ops = spawned.clone();
-            let h = ctx.spawn(move |ctx2: &mut Ctx| apply(ctx2, &child_ops));
-            apply(ctx, &pre);
-            ctx.join(h);
-        })
-        .phase(move |ctx: &mut Ctx| apply(ctx, &recovery))
-        .phase(|ctx: &mut Ctx| {
-            let base = ctx.root();
-            for slot in 0..SLOTS {
-                let _ = ctx.load_u64(base + slot * 8, Atomicity::Plain);
-            }
-        })
+fn random_program(seed: u64) -> jaaru::Program {
+    common::random_program(seed, gc_mix)
 }
 
 #[test]
@@ -253,14 +137,20 @@ fn gc_matches_unbounded_with_tracing() {
 
 #[test]
 fn paranoid_mode_runs_an_ungc_shadow_in_lockstep() {
-    // Paranoid mode drives an un-GC'd shadow detector from the same event
-    // stream and panics at drain time if the reports differ — so merely
-    // completing these runs proves the retired state never fed a report.
-    let paranoid = EngineConfig::sequential()
-        .with_gc_every(1)
-        .with_gc_paranoid(true);
+    // A `GcParanoidSink` pair drives an un-GC'd shadow detector from the
+    // same event stream and panics at drain time if the reports differ —
+    // so merely completing these runs proves the retired state never fed
+    // a report.
+    let det =
+        || -> Box<dyn jaaru::EventSink> { Box::new(YashmeDetector::new(YashmeConfig::default())) };
+    let hot = EngineConfig::sequential().with_gc_every(1);
     for seed in [0u64, 2, 5] {
-        let report = check(&random_program(seed), ExecMode::model_check(), &paranoid);
+        let report = Engine::run_with(
+            &random_program(seed),
+            ExecMode::model_check(),
+            &|| Box::new(GcParanoidSink::new(det(), det())),
+            &hot,
+        );
         assert_eq!(
             fingerprint("randomized", &report),
             fingerprint(

@@ -11,7 +11,7 @@
 //! Everything here lives on the logical side of the determinism contract:
 //! a [`SiteTable`] accumulates alongside `ExecStats` (absorb / minus /
 //! prune attribution follow the identical flow), and the exported JSON is
-//! byte-identical across worker counts and fork/prune/GC strategy choices.
+//! byte-identical across worker counts and fork/GC strategy choices.
 //! Nothing in this module feeds back into the state fingerprint or the
 //! detector token — observing coverage never changes what gets pruned.
 

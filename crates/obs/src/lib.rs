@@ -25,7 +25,7 @@
 //! * [`coverage`] — the **third plane**: per-site persistency verdicts
 //!   (stores/flushes/fences/loads keyed by static label) and crash-space
 //!   cartography, measured on the virtual clock and exported byte-identical
-//!   across worker counts and fork/prune/GC strategy choices.
+//!   across worker counts and fork/GC strategy choices.
 //!
 //! `obs` depends on nothing above the standard library; `jaaru` layers the
 //! engine wiring ([`SpanTraceSink`](../jaaru/sink) and trace collection) on

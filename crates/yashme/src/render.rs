@@ -222,7 +222,7 @@ pub fn render_sched_stats(lanes: &[WorkerStat]) -> String {
 /// with their counter breakdown, the attribution summary, and the
 /// crash-space cartography. Everything here comes from the logical report
 /// surface, so the table is byte-identical across worker counts and
-/// fork/prune/GC strategy choices.
+/// fork/GC strategy choices.
 pub fn render_coverage(report: &RunReport) -> String {
     let cov = report.coverage();
     let summary = cov.summary();

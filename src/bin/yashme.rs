@@ -37,7 +37,7 @@ struct Options {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     // Coverage plane: per-site verdict table (human) and deterministic
-    // coverage JSON (byte-identical across workers × fork/prune/GC).
+    // coverage JSON (byte-identical across workers × fork/GC).
     coverage: bool,
     coverage_out: Option<String>,
     // Wall-clock telemetry plane (all stderr/side-file; stdout — including
@@ -86,8 +86,8 @@ impl Default for Options {
 fn usage() -> &'static str {
     "usage: yashme (--list | --all | --benchmark <NAME>) \
      [--mode model-check|random] [--executions N] [--seed S] \
-     [--workers N|auto] [--no-fork] [--no-prune] [--no-gc] \
-     [--gc-every N] [--gc-paranoid] [--sample-every N] [--baseline] [--eadr] \
+     [--workers N|auto] [--no-fork] [--no-gc] \
+     [--gc-every N] [--sample-every N] [--baseline] [--eadr] \
      [--details] [--explain] [--json] [--trace-out FILE] [--metrics-out FILE] \
      [--coverage] [--coverage-out FILE] \
      [--progress] [--telemetry-out FILE.jsonl] [--prom-out FILE] [--profile]"
@@ -95,14 +95,6 @@ fn usage() -> &'static str {
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
-    // Tracked separately from `opts.engine` because `--workers` replaces
-    // the whole engine config; applied once parsing is done.
-    let mut no_fork = false;
-    let mut no_prune = false;
-    let mut no_gc = false;
-    let mut gc_every = None;
-    let mut gc_paranoid = false;
-    let mut sample_every = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -144,28 +136,26 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it
                     .next()
                     .ok_or_else(|| "--workers needs a count or 'auto'".to_owned())?;
-                opts.engine = if v.eq_ignore_ascii_case("auto") {
-                    EngineConfig::with_workers(0)
+                // Only the worker count: the rest of the env-derived
+                // engine config (`YASHME_GC=0` etc.) stays in force.
+                opts.engine.workers = if v.eq_ignore_ascii_case("auto") {
+                    0
                 } else {
-                    EngineConfig::with_workers(
-                        v.parse().map_err(|e| format!("bad --workers: {e}"))?,
-                    )
+                    v.parse().map_err(|e| format!("bad --workers: {e}"))?
                 };
             }
-            "--no-fork" => no_fork = true,
-            "--no-prune" => no_prune = true,
-            "--no-gc" => no_gc = true,
+            "--no-fork" => opts.engine = opts.engine.with_fork(false),
+            "--no-gc" => opts.engine = opts.engine.with_gc(false),
             "--gc-every" => {
-                gc_every = Some(
+                opts.engine = opts.engine.with_gc_every(
                     it.next()
                         .ok_or_else(|| "--gc-every needs a number".to_owned())?
                         .parse()
                         .map_err(|e| format!("bad --gc-every: {e}"))?,
                 )
             }
-            "--gc-paranoid" => gc_paranoid = true,
             "--sample-every" => {
-                sample_every = Some(
+                opts.engine = opts.engine.with_sample_every(
                     it.next()
                         .ok_or_else(|| "--sample-every needs a number".to_owned())?
                         .parse()
@@ -231,24 +221,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         // Tracing is opt-in: the engine only allocates span buffers when an
         // export was requested.
         opts.engine = opts.engine.with_trace(true);
-    }
-    if no_fork {
-        opts.engine = opts.engine.with_fork(false);
-    }
-    if no_prune {
-        opts.engine = opts.engine.with_prune(false);
-    }
-    if no_gc {
-        opts.engine = opts.engine.with_gc(false);
-    }
-    if let Some(every) = gc_every {
-        opts.engine = opts.engine.with_gc_every(every);
-    }
-    if gc_paranoid {
-        opts.engine = opts.engine.with_gc_paranoid(true);
-    }
-    if let Some(every) = sample_every {
-        opts.engine = opts.engine.with_sample_every(every);
     }
     Ok(opts)
 }
